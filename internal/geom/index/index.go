@@ -420,31 +420,34 @@ func (g *Grid) KNearest(q geom.Point, k int, dst []int) []int {
 
 // Within appends the indices of every live point within Euclidean
 // distance r of q (inclusive) onto dst, ordered by ascending (squared
-// distance, index), and returns the extended slice.
+// distance, index), and returns the extended slice. Membership is the
+// brute scan's rule, q.Dist2(p) ≤ r*r, for every r ≥ 0 including the
+// exact-match query r = 0.
+//
+// The scanned block of cells is derived so that no member can fall
+// outside it. A point with Dist2 ≤ r*r has |p.X − q.X| ≤ r·(1+3u) in
+// exact arithmetic (u = 2⁻⁵³: one rounding each in the difference, the
+// square and r*r), plus at most 2⁻⁵³⁷ when the squares underflow, so
+// q.X ± (r·(1+1e-12) + 2⁻⁵³⁰) brackets p.X. Rounding is monotone and
+// p.X is itself a float64, so the computed bracket still brackets p.X,
+// and cellCoords — the same monotone division cellAt buckets p with —
+// maps it onto a cell range holding p's cell. Cells are not pruned by
+// their distance to q: rebuilding a cell's edge as minX + cx·cell can
+// round past a point bucketed inside it, which made Within(p, 0) miss
+// p itself on mixed-scale inputs.
 func (g *Grid) Within(q geom.Point, r float64, dst []int) []int {
 	if r < 0 || g.live == 0 {
 		return dst
 	}
 	r2 := r * r
+	rw := r*(1+1e-12) + 0x1p-530
 	h := g.heap[:0]
-	cx0, cy0 := g.cellCoords(q.Add(geom.Vec{X: -r, Y: -r}))
-	cx1, cy1 := g.cellCoords(q.Add(geom.Vec{X: r, Y: r}))
-	if cx0 < 0 {
-		cx0 = 0
-	}
-	if cy0 < 0 {
-		cy0 = 0
-	}
-	if cx1 >= g.cols {
-		cx1 = g.cols - 1
-	}
-	if cy1 >= g.rows {
-		cy1 = g.rows - 1
-	}
+	cx0, cy0 := g.cellCoords(geom.Pt(q.X-rw, q.Y-rw))
+	cx1, cy1 := g.cellCoords(geom.Pt(q.X+rw, q.Y+rw))
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
 			cell := cy*g.cols + cx
-			if g.liveInCell[cell] == 0 || g.cellDist2(q, cx, cy) > r2 {
+			if g.liveInCell[cell] == 0 {
 				continue
 			}
 			for _, pi := range g.idx[g.start[cell]:g.start[cell+1]] {

@@ -80,9 +80,9 @@ func bruteWithin(pts []geom.Point, alive []bool, q geom.Point, r float64) []int 
 	return out
 }
 
-// pointSets yields the adversarial families the issue calls out:
-// uniform random, duplicate-heavy, collinear, single-cell (tiny
-// extent), plus single-point and clustered sets.
+// pointSets yields the adversarial families: uniform random,
+// duplicate-heavy, collinear, single-cell (tiny extent), single-point,
+// clustered, and mixed-scale, large-offset and lattice sets.
 func pointSets(rnd *rand.Rand) map[string][]geom.Point {
 	sets := map[string][]geom.Point{}
 
@@ -123,6 +123,34 @@ func pointSets(rnd *rand.Rand) map[string][]geom.Point {
 		}
 	}
 	sets["clustered"] = clustered
+
+	// The sets on which the grid's float cell arithmetic rounds
+	// hardest: coordinates mixing magnitudes 1e-6, 1 and 1e6, a tiny
+	// spread far from the origin, and integer lattices full of exact
+	// ties and duplicates.
+	for s := 0; s < 20; s++ {
+		n := 48 + rnd.Intn(300)
+		mixed := make([]geom.Point, n)
+		scales := []float64{1e-6, 1, 1e6}
+		for i := range mixed {
+			mixed[i] = geom.Pt(rnd.Float64()*scales[rnd.Intn(3)], rnd.Float64()*scales[rnd.Intn(3)])
+		}
+		sets["mixed-scale-"+string(rune('a'+s))] = mixed
+
+		offset := make([]geom.Point, n)
+		spread := []float64{1e-3, 1, 100}[s%3]
+		for i := range offset {
+			offset[i] = geom.Pt(1e7+rnd.Float64()*spread, -1e7+rnd.Float64()*spread)
+		}
+		sets["large-offset-"+string(rune('a'+s))] = offset
+
+		lattice := make([]geom.Point, n)
+		side := 3 + rnd.Intn(12)
+		for i := range lattice {
+			lattice[i] = geom.Pt(float64(rnd.Intn(side)), float64(rnd.Intn(side)))
+		}
+		sets["lattice-"+string(rune('a'+s))] = lattice
+	}
 
 	return sets
 }
@@ -187,6 +215,19 @@ func TestWithinMatchesBrute(t *testing.T) {
 				if !equalInts(got, want) {
 					t.Errorf("%s r=%v query %d: grid %v != brute %v", name, r, qi, got, want)
 				}
+			}
+		}
+		// r = 0 self-queries are the exact-match lookups tour
+		// construction relies on; a radius that lands exactly on a
+		// point tests the r² boundary itself.
+		for i, p := range pts {
+			if got, want := g.Within(p, 0, nil), bruteWithin(pts, nil, p, 0); !equalInts(got, want) {
+				t.Errorf("%s: Within(pts[%d], 0) = %v, want %v", name, i, got, want)
+			}
+			q := pts[rnd.Intn(len(pts))]
+			r := math.Sqrt(p.Dist2(q))
+			if got, want := g.Within(p, r, nil), bruteWithin(pts, nil, p, r); !equalInts(got, want) {
+				t.Errorf("%s: Within(pts[%d], |pq|) = %v, want %v", name, i, got, want)
 			}
 		}
 	}

@@ -262,6 +262,14 @@ func (s *Scheduler) Resolve(ctx context.Context, cell Cell) (protocol.FoldState,
 	t, joined := s.byKey[cell.Key]
 	if joined {
 		s.stats.Joined++
+	} else if st, ok := s.store.Probe(cell.Key); ok {
+		// The cell's task finished between the probe above and the
+		// lock. Complete publishes to the store before it retires the
+		// key, so probing again under the lock finds the state instead
+		// of queueing the cell a second time.
+		s.stats.CacheSkips++
+		s.mu.Unlock()
+		return st, protocol.SourceHit, nil
 	} else {
 		t = &task{cell: cell, done: make(chan struct{})}
 		t.elem = s.queue.PushBack(t)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tctp/internal/core"
 	"tctp/internal/patrol"
@@ -181,13 +182,17 @@ func TestSinkBeginError(t *testing.T) {
 }
 
 // countingSpec is a wide, slow-enough sweep for abort-promptness
-// checks: 2 cells × 60 replications, counting executions.
+// checks: 2 cells × 60 replications, counting executions. Each
+// replication takes at least a millisecond, so the second cell cannot
+// finish in the moment between the first cell's fold and its sink
+// write however fast planning and simulation get.
 func countingSpec(n *atomic.Int64) Spec {
 	s := tinySpec()
 	s.Targets = []int{6}
 	s.Seeds = 60
 	s.Metrics = append(s.Metrics, Metric{Name: "count", Fn: func(Env) float64 {
 		n.Add(1)
+		time.Sleep(time.Millisecond)
 		return 0
 	}})
 	return s

@@ -138,16 +138,16 @@ func hullSkeleton(pts []geom.Point) (t Tour, remaining []int, ok bool) {
 	t = make(Tour, 0, n)
 	if n >= indexThreshold {
 		// An exact-match index query replaces the O(hull·n) linear
-		// scan. Dist2(p, hp) == 0 exactly when p == hp (both squared
-		// terms are non-negative, so the sum is zero only at exact
-		// coordinate equality), so Within(hp, 0) yields precisely the
-		// brute scan's candidates, already in ascending index order.
+		// scan. Within(hp, 0) returns every point with Dist2 == 0, a
+		// superset of the points equal to hp (it differs only where
+		// the squares underflow), in ascending index order; filtering
+		// it by equality yields precisely the brute scan's candidates.
 		g := index.New(pts)
 		var matches []int
 		for _, hp := range hullPts {
 			matches = g.Within(hp, 0, matches[:0])
 			for _, i := range matches {
-				if !used[i] {
+				if !used[i] && pts[i] == hp {
 					t = append(t, i)
 					used[i] = true
 					break
@@ -193,10 +193,51 @@ func indexOrder(n int) Tour {
 // oriented counterclockwise. This is the "CHB" construction used by
 // both the paper's planners and the CHB baseline.
 //
-// The selection is accelerated by caching, per remaining point, its
-// cheapest (detour, edge) pair and repairing only the caches the last
-// insertion invalidated; the result is bit-identical to
-// ConvexHullInsertionBrute (see the equivalence tests).
+// The selection caches, per remaining point q, its cheapest (detour,
+// edge) pair and repairs only what the last insertion invalidated. The
+// result is bit-identical to the quadratic rescan it replaces (pinned
+// by the equivalence tests and FuzzConvexHullInsertion), and most
+// detour evaluations are skipped by two triangle-inequality bounds:
+//
+//   - Insertion of p splits edge (a, b) into (a, p) and (p, b). Both new
+//     edges cost q at least 2(|qp| − max(|ap|, |pb|)), since
+//     |aq| ≥ |qp| − |ap| and |qb| ≥ |qp| − |pb|. The update loop skips q
+//     when |qp|² > (cost(q)/2 + max(|ap|, |pb|))²·(1+1e-9): neither new
+//     edge can beat cost(q). Otherwise |qp| is computed once and shared
+//     by both candidates.
+//   - A rescan over the tour bounds edge j = (a_j, b_j) by
+//     2(|a_j q| − |a_j b_j|), since |qb_j| ≥ |a_j q| − |a_j b_j|, and
+//     skips it when |a_j q|² > (best/2 + |a_j b_j|)²·(1+1e-9). Only
+//     candidates strictly worse than the running best are skipped, so
+//     the first-index tie rule survives.
+//
+// The margin. With u = 2⁻⁵³, every computed distance, squared
+// distance and detour is within a few u of its exact value, relative
+// to the lengths involved (|qp| and the threshold's terms; |aq| is at
+// most |ap| + |qp|). A skip needs the computed |qp|² to exceed the
+// computed threshold² by a relative 1e-9, so in exact arithmetic |qp|
+// exceeds the threshold by ~5e-10 of its size — over 1e5 times what
+// rounding can take back. A skipped candidate's computed detour is
+// therefore strictly greater than the cost it was tested against,
+// never equal, so skips cannot disturb a tie either. The argument
+// assumes squared coordinate differences stay normal float64s
+// (differences of zero or between ~1e-150 and ~1e150);
+// FuzzConvexHullInsertion covers coordinate magnitudes 1e-100–1e100.
+//
+// Rescans are further avoided when q's cached edge is the one just
+// split. Every other edge already cost q at least the old minimum, and
+// every edge with a smaller index strictly more, so when the cheaper
+// of the two new edges costs no more than the old minimum it is the
+// new lexicographic minimum (a tie between them goes to the lower
+// index). Only otherwise does q rescan, starting from that cheaper new
+// edge as the running best so the rescan bound prunes from its first
+// edge on.
+//
+// Edge lengths |a_j b_j| are kept in a slice parallel to the tour and
+// written by the same Dist calls geom.DetourCost makes (Dist is
+// symmetric bit for bit: math.Hypot takes absolute values), and each
+// detour keeps DetourCost's operand order |a q| + |q b| − |a b|, so
+// every evaluated detour equals DetourCost(a, b, q) exactly.
 func ConvexHullInsertion(pts []geom.Point) Tour {
 	n := len(pts)
 	switch n {
@@ -211,40 +252,53 @@ func ConvexHullInsertion(pts []geom.Point) Tour {
 	if !ok {
 		return indexOrder(n)
 	}
+	const margin = 1 + 1e-9
 
 	// Per remaining point: the smallest detour over the current tour
 	// edges and the FIRST edge index attaining it — exactly what the
-	// brute scan's strict-< loop tracks. Edge j is (t[j], t[j+1 mod]).
-	cost := make([]float64, n)
+	// brute scan's strict-< loop tracks. elen[j] is the length of edge
+	// j = (t[j], t[j+1 mod]); it shares cost's allocation and never
+	// outgrows its n slots.
+	floats := make([]float64, 2*n)
+	cost, elen := floats[:n], floats[n:n+len(t):2*n]
 	edge := make([]int32, n)
-	rescan := func(pi int) {
-		p := pts[pi]
-		bc, be := math.Inf(1), int32(-1)
-		for j := range t {
-			a := pts[t[j]]
-			b := pts[t[(j+1)%len(t)]]
-			if c := geom.DetourCost(a, b, p); c < bc {
+	for j := range t {
+		elen[j] = pts[t[j]].Dist(pts[t[(j+1)%len(t)]])
+	}
+	// rescan sets q's (cost, edge) to the lexicographic minimum over
+	// every tour edge, starting from the candidate (bc, be): one edge's
+	// detour and index, or (+Inf, -1).
+	rescan := func(qi int, bc float64, be int32) {
+		q := pts[qi]
+		for j, ai := range t {
+			a := pts[ai]
+			if bound := bc/2 + elen[j]; q.Dist2(a) > bound*bound*margin {
+				continue
+			}
+			next := j + 1
+			if next == len(t) {
+				next = 0
+			}
+			if c := a.Dist(q) + q.Dist(pts[t[next]]) - elen[j]; c < bc || (c == bc && int32(j) < be) {
 				bc, be = c, int32(j)
 			}
 		}
-		cost[pi], edge[pi] = bc, be
+		cost[qi], edge[qi] = bc, be
 	}
-	for _, pi := range remaining {
-		rescan(pi)
+	// The next insertion is the global cheapest (point, edge): the
+	// first point in remaining order attaining the minimum cost,
+	// matching the brute outer loop's strict-< scan. Each pass over
+	// remaining finalizes the costs it visits, so it tracks the
+	// minimum for the next round as it goes.
+	bestPoint, bestCost := -1, math.Inf(1)
+	for ri, qi := range remaining {
+		rescan(qi, math.Inf(1), -1)
+		if cost[qi] < bestCost {
+			bestPoint, bestCost = ri, cost[qi]
+		}
 	}
 
 	for len(remaining) > 0 {
-		// Global cheapest (point, edge): first point in remaining
-		// order attaining the minimum cost, matching the brute outer
-		// loop's strict-< scan.
-		bestPoint := -1
-		bestCost := math.Inf(1)
-		for ri, pi := range remaining {
-			if cost[pi] < bestCost {
-				bestCost = cost[pi]
-				bestPoint = ri
-			}
-		}
 		pi := remaining[bestPoint]
 		broken := edge[pi] // edge index destroyed by the insertion
 		bestPos := int(broken) + 1
@@ -253,9 +307,14 @@ func ConvexHullInsertion(pts []geom.Point) Tour {
 		copy(t[bestPos+1:], t[bestPos:])
 		t[bestPos] = pi
 
-		if len(remaining) == 0 {
-			break
-		}
+		a := pts[t[bestPos-1]]
+		p := pts[pi]
+		b := pts[t[(bestPos+1)%len(t)]]
+		ap, pb := a.Dist(p), p.Dist(b)
+		elen = append(elen, 0)
+		copy(elen[bestPos+1:], elen[bestPos:])
+		elen[broken], elen[bestPos] = ap, pb
+
 		// The insertion replaced edge `broken` with two edges at
 		// indices broken (a→p) and broken+1 (p→b); edges before
 		// `broken` keep their index, later ones shift by one. A cached
@@ -263,94 +322,45 @@ func ConvexHullInsertion(pts []geom.Point) Tour {
 		// new edges are merged in by (cost, edge index) lexicographic
 		// minimum, which is what a fresh first-encounter strict-< scan
 		// would report.
-		a := pts[t[bestPos-1]]
-		p := pts[pi]
-		b := pts[t[(bestPos+1)%len(t)]]
-		for _, qi := range remaining {
-			if edge[qi] == broken {
-				rescan(qi)
-				continue
-			}
+		far := math.Max(ap, pb)
+		bestPoint, bestCost = -1, math.Inf(1)
+		for ri, qi := range remaining {
+			q := pts[qi]
+			old := cost[qi]
+			split := edge[qi] == broken
 			if edge[qi] > broken {
 				edge[qi]++
 			}
-			q := pts[qi]
-			if c := geom.DetourCost(a, p, q); c < cost[qi] || (c == cost[qi] && broken < edge[qi]) {
-				cost[qi], edge[qi] = c, broken
-			}
-			if c := geom.DetourCost(p, b, q); c < cost[qi] || (c == cost[qi] && broken+1 < edge[qi]) {
-				cost[qi], edge[qi] = c, broken+1
-			}
-		}
-	}
-	return EnsureCCW(pts, t)
-}
-
-// ConvexHullInsertionBrute is the original quadratic-scan
-// implementation of ConvexHullInsertion, retained as the reference the
-// accelerated path must reproduce bit-for-bit and as the baseline for
-// the BenchmarkPlan* speedup measurements.
-func ConvexHullInsertionBrute(pts []geom.Point) Tour {
-	n := len(pts)
-	switch n {
-	case 0:
-		return Tour{}
-	case 1:
-		return Tour{0}
-	case 2:
-		return Tour{0, 1}
-	}
-
-	hullPts := hull.Convex(pts)
-	used := make([]bool, n)
-	t := make(Tour, 0, n)
-	for _, hp := range hullPts {
-		// Map hull vertices back to indices; duplicates in pts map to
-		// the first unused match so every index is inserted once.
-		for i, p := range pts {
-			if !used[i] && p == hp {
-				t = append(t, i)
-				used[i] = true
-				break
-			}
-		}
-	}
-	if len(t) == 0 {
-		// All points coincide or are collinear enough for the hull to
-		// be degenerate; fall back to index order.
-		return indexOrder(n)
-	}
-
-	var remaining []int
-	for i := 0; i < n; i++ {
-		if !used[i] {
-			remaining = append(remaining, i)
-		}
-	}
-
-	// Cheapest insertion: repeatedly pick the (point, edge) pair with
-	// the globally smallest detour. O(k²·|t|) overall, fine for the
-	// target counts in the paper's experiments (≤ a few hundred).
-	for len(remaining) > 0 {
-		bestPoint, bestPos := -1, -1
-		bestCost := math.Inf(1)
-		for ri, pi := range remaining {
-			p := pts[pi]
-			for j := range t {
-				a := pts[t[j]]
-				b := pts[t[(j+1)%len(t)]]
-				if c := geom.DetourCost(a, b, p); c < bestCost {
-					bestCost = c
-					bestPoint = ri
-					bestPos = j + 1
+			if bound := old/2 + far; q.Dist2(p) > bound*bound*margin {
+				if split {
+					rescan(qi, math.Inf(1), -1)
+				}
+			} else {
+				qp := q.Dist(p)
+				c1 := a.Dist(q) + qp - ap // DetourCost(a, p, q)
+				c2 := qp + q.Dist(b) - pb // DetourCost(p, b, q)
+				switch {
+				case !split:
+					if c1 < old || (c1 == old && broken < edge[qi]) {
+						cost[qi], edge[qi] = c1, broken
+					}
+					if c2 < cost[qi] || (c2 == cost[qi] && broken+1 < edge[qi]) {
+						cost[qi], edge[qi] = c2, broken+1
+					}
+				case c1 <= old && c1 <= c2:
+					cost[qi], edge[qi] = c1, broken
+				case c2 <= old:
+					cost[qi], edge[qi] = c2, broken+1
+				case c1 <= c2:
+					rescan(qi, c1, broken)
+				default:
+					rescan(qi, c2, broken+1)
 				}
 			}
+			if cost[qi] < bestCost {
+				bestPoint, bestCost = ri, cost[qi]
+			}
 		}
-		pi := remaining[bestPoint]
-		remaining = append(remaining[:bestPoint], remaining[bestPoint+1:]...)
-		t = append(t, 0)
-		copy(t[bestPos+1:], t[bestPos:])
-		t[bestPos] = pi
 	}
 	return EnsureCCW(pts, t)
 }

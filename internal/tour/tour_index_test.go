@@ -100,19 +100,6 @@ func TestNearestNeighborMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestConvexHullInsertionMatchesBrute pins the cached cheapest-
-// insertion path to the quadratic rescan bit-for-bit.
-func TestConvexHullInsertionMatchesBrute(t *testing.T) {
-	rnd := rand.New(rand.NewSource(12))
-	for name, pts := range equivalencePointSets(rnd) {
-		got := ConvexHullInsertion(pts)
-		want := ConvexHullInsertionBrute(pts)
-		if !sameTour(got, want) {
-			t.Errorf("%s: accelerated tour differs from brute\n got %v\nwant %v", name, got, want)
-		}
-	}
-}
-
 // TestGreedyEdgeMatchesBrute pins the lazy candidate-edge mode to the
 // full-sort path bit-for-bit.
 func TestGreedyEdgeMatchesBrute(t *testing.T) {
