@@ -14,10 +14,11 @@
 set -euo pipefail
 
 flat=(BenchmarkEngine BenchmarkEngineCancel BenchmarkCacheDedup
-	BenchmarkCacheHitSweep BenchmarkRemoteDispatch)
+	BenchmarkCacheHitSweep BenchmarkRemoteDispatch BenchmarkSimulationThroughput)
 ladders=(BenchmarkPlanNearestNeighbor BenchmarkPlanGreedyEdge
 	BenchmarkPlanConvexHullInsertion BenchmarkPlanKMeans BenchmarkPlanFleet
-	BenchmarkPlanCHBAssign BenchmarkReplanAbsorb BenchmarkOptimalHeldKarp)
+	BenchmarkPlanCHBAssign BenchmarkReplanAbsorb BenchmarkOptimalHeldKarp
+	BenchmarkCellSimulation)
 rungs='n=(1000|15)'
 
 alternation() {

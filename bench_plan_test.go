@@ -23,11 +23,13 @@ import (
 // (*Brute), which are the pre-index implementations kept as oracles by
 // the equivalence tests. The indexed and brute variants produce
 // bit-identical tours/assignments, so the ratio between the two is
-// pure speedup. The convex-hull-insertion oracle is test-only: it and
-// BenchmarkPlanConvexHullInsertionBrute live in internal/tour, timed on
-// the same inputs as BenchmarkPlanConvexHullInsertion here (xrand seed
-// 7) and stopping at 1k, where the quadratic rescan already makes
-// 4.33 M DetourCost evaluations against the pruned path's 98 k.
+// pure speedup. The convex-hull-insertion and k-means oracles are
+// test-only: BenchmarkPlanConvexHullInsertionBrute lives in
+// internal/tour and BenchmarkPlanKMeansBrute in internal/cluster, each
+// timed on the same inputs as its indexed ladder here (xrand seed 7).
+// The hull-insertion one stops at 1k, where the quadratic rescan
+// already makes 4.33 M DetourCost evaluations against the pruned
+// path's 98 k.
 
 var planSizes = []int{100, 1_000, 10_000}
 
@@ -115,20 +117,6 @@ func BenchmarkPlanKMeans(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cluster.KMeans(pts, k, xrand.New(11), 20)
-			}
-		})
-	}
-}
-
-func BenchmarkPlanKMeansBrute(b *testing.B) {
-	for _, n := range planSizes {
-		pts := randomPoints(n)
-		k := n / 20
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			skipLarge(b, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cluster.KMeansBrute(pts, k, xrand.New(11), 20)
 			}
 		})
 	}
@@ -246,7 +234,8 @@ func BenchmarkCellReplications(b *testing.B) {
 
 // BenchmarkCellSimulation measures a single replication (plan + event
 // simulation + recording) at growing target counts; the recorder's
-// flat preallocation shows up in allocs/op here.
+// flat preallocation shows up in allocs/op here. CI gates the n=1000
+// rung: simulation allocates nothing, so allocs/op is the plan's.
 func BenchmarkCellSimulation(b *testing.B) {
 	for _, n := range []int{100, 1_000} {
 		s := field.Generate(field.Config{NumTargets: n, NumMules: 4, Placement: field.Uniform},

@@ -201,8 +201,11 @@ func BenchmarkWPPConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulationThroughput measures raw event throughput of a
-// 4-mule B-TCTP simulation (events/op via ns and the fixed horizon).
+// BenchmarkSimulationThroughput measures one paper-scale replication:
+// a 4-mule B-TCTP plan on 20 targets simulated for 50 000 s (~2 250
+// legs). Legs and dwells allocate nothing, so its allocs/op (~108) is
+// the planning and set-up floor and does not grow with the horizon;
+// CI gates it, so a per-leg allocation coming back fails the gate.
 func BenchmarkSimulationThroughput(b *testing.B) {
 	s := field.Generate(field.Config{NumTargets: 20, NumMules: 4, Placement: field.Uniform},
 		xrand.New(5))

@@ -73,7 +73,11 @@
 // take minutes by design). allocs/op is gated with zero tolerance in
 // both families — allocation counts are deterministic, so any
 // increase is a real regression, which is what keeps the zero-alloc
-// planning paths zero-alloc.
+// planning paths zero-alloc. The 25% gate also covers whole
+// replications (BenchmarkSimulationThroughput, BenchmarkCellSimulation
+// at n=1000): simulation allocates nothing, so their allocs/op is the
+// planning and set-up floor, and a per-leg allocation coming back
+// multiplies it by the event count.
 //
 // The same twin idiom extends beyond the Brute oracles. The sweep
 // service's cache benchmarks (internal/sweep/cache:

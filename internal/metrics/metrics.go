@@ -8,10 +8,18 @@
 //     k-th visiting interval aggregated over targets;
 //   - the per-target SD of Figs. 8 and 10 — the sample standard
 //     deviation of a target's consecutive visiting intervals.
+//
+// Visit logs are time-ordered (simulation time is monotone), so "visits
+// at or after t0" is a suffix found by binary search. The aggregates
+// rebuild each target's intervals in one scratch buffer per call and
+// feed them to the same stats functions in the same order as the
+// per-target accessors, so they allocate at most once and produce the
+// same bits.
 package metrics
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tctp/internal/geom"
@@ -103,36 +111,49 @@ func (r *Recorder) MinVisitCount() int {
 // interval k is the time between visit k and visit k+1. A target with
 // fewer than two visits yields nil.
 func (r *Recorder) Intervals(target int) []float64 {
-	ts := r.visits[target]
-	if len(ts) < 2 {
-		return nil
-	}
-	out := make([]float64, len(ts)-1)
-	for i := 1; i < len(ts); i++ {
-		out[i-1] = ts[i] - ts[i-1]
-	}
-	return out
+	return intervals(r.visits[target])
 }
 
 // IntervalsAfter returns the visiting intervals of target restricted
 // to visits at or after t0. Use it to discard the location-
 // initialization transient when measuring steady-state behaviour.
 func (r *Recorder) IntervalsAfter(target int, t0 float64) []float64 {
+	return intervals(r.visitsAfter(target, t0))
+}
+
+// visitsAfter returns the suffix of target's time-ordered visit log
+// at or after t0.
+func (r *Recorder) visitsAfter(target int, t0 float64) []float64 {
 	ts := r.visits[target]
-	var kept []float64
-	for _, t := range ts {
-		if t >= t0 {
-			kept = append(kept, t)
-		}
-	}
-	if len(kept) < 2 {
+	return ts[sort.SearchFloat64s(ts, t0):]
+}
+
+// intervals returns the consecutive differences of ts in a new slice,
+// or nil when ts has fewer than two entries.
+func intervals(ts []float64) []float64 {
+	if len(ts) < 2 {
 		return nil
 	}
-	out := make([]float64, len(kept)-1)
-	for i := 1; i < len(kept); i++ {
-		out[i-1] = kept[i] - kept[i-1]
+	return appendIntervals(make([]float64, 0, len(ts)-1), ts)
+}
+
+// appendIntervals appends the consecutive differences of ts to dst.
+func appendIntervals(dst, ts []float64) []float64 {
+	for i := 1; i < len(ts); i++ {
+		dst = append(dst, ts[i]-ts[i-1])
 	}
-	return out
+	return dst
+}
+
+// intervalScratch returns an empty buffer with room for the longest
+// interval series of any member target (nil = all targets).
+func (r *Recorder) intervalScratch(targets []int) []float64 {
+	n := 0
+	r.eachTarget(targets, func(t int) { n = max(n, len(r.visits[t])) })
+	if n < 2 {
+		return nil
+	}
+	return make([]float64, 0, n-1)
 }
 
 // SD returns the paper's per-target SD metric: the sample standard
@@ -177,13 +198,7 @@ func (r *Recorder) AvgSD() float64 { return r.AvgSDOver(nil) }
 // AvgSDOver is AvgSD restricted to a target subset (nil = all
 // targets) — the per-group regularity of a partitioned plan.
 func (r *Recorder) AvgSDOver(targets []int) float64 {
-	var acc stats.Accumulator
-	r.eachTarget(targets, func(t int) {
-		if iv := r.Intervals(t); len(iv) >= 2 {
-			acc.Add(stats.SampleSD(iv))
-		}
-	})
-	return acc.Mean()
+	return r.AvgSDAfterOver(targets, math.Inf(-1))
 }
 
 // AvgSDAfter is AvgSD restricted to visits at or after t0.
@@ -195,8 +210,9 @@ func (r *Recorder) AvgSDAfter(t0 float64) float64 {
 // all targets).
 func (r *Recorder) AvgSDAfterOver(targets []int, t0 float64) float64 {
 	var acc stats.Accumulator
+	iv := r.intervalScratch(targets)
 	r.eachTarget(targets, func(t int) {
-		if iv := r.IntervalsAfter(t, t0); len(iv) >= 2 {
+		if iv = appendIntervals(iv[:0], r.visitsAfter(t, t0)); len(iv) >= 2 {
 			acc.Add(stats.SampleSD(iv))
 		}
 	})
@@ -210,13 +226,7 @@ func (r *Recorder) AvgDCDT() float64 { return r.AvgDCDTOver(nil) }
 // AvgDCDTOver is AvgDCDT restricted to a target subset (nil = all
 // targets) — the per-group delay of a partitioned plan.
 func (r *Recorder) AvgDCDTOver(targets []int) float64 {
-	var acc stats.Accumulator
-	r.eachTarget(targets, func(t int) {
-		if iv := r.Intervals(t); len(iv) > 0 {
-			acc.Add(stats.Mean(iv))
-		}
-	})
-	return acc.Mean()
+	return r.AvgDCDTAfterOver(targets, math.Inf(-1))
 }
 
 // AvgDCDTAfter is AvgDCDT restricted to visits at or after t0.
@@ -228,8 +238,9 @@ func (r *Recorder) AvgDCDTAfter(t0 float64) float64 {
 // (nil = all targets).
 func (r *Recorder) AvgDCDTAfterOver(targets []int, t0 float64) float64 {
 	var acc stats.Accumulator
+	iv := r.intervalScratch(targets)
 	r.eachTarget(targets, func(t int) {
-		if iv := r.IntervalsAfter(t, t0); len(iv) > 0 {
+		if iv = appendIntervals(iv[:0], r.visitsAfter(t, t0)); len(iv) > 0 {
 			acc.Add(stats.Mean(iv))
 		}
 	})
@@ -247,8 +258,9 @@ func (r *Recorder) MaxInterval() float64 { return r.MaxIntervalOver(nil) }
 func (r *Recorder) MaxIntervalOver(targets []int) float64 {
 	m := 0.0
 	r.eachTarget(targets, func(t int) {
-		for _, iv := range r.Intervals(t) {
-			if iv > m {
+		ts := r.visits[t]
+		for i := 1; i < len(ts); i++ {
+			if iv := ts[i] - ts[i-1]; iv > m {
 				m = iv
 			}
 		}

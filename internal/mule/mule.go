@@ -8,6 +8,12 @@
 // Route decisions are delegated to a Router, so the same entity serves
 // the fixed-route planners (B/W/RW-TCTP, CHB, Sweep) and the online
 // Random baseline.
+//
+// A mule has at most one pending engine event. The leg that event
+// completes — its waypoint, length and move energy, or the death point
+// of a leg the battery cannot finish — is kept on the Mule, and the
+// advance, arrive and death handlers are bound once in New, so
+// scheduling a leg or a dwell allocates nothing.
 package mule
 
 import (
@@ -97,6 +103,15 @@ type Mule struct {
 	legTo     geom.Point
 	legDepart float64
 	legDist   float64
+	// legWP and legEnergy complete the pending leg for arrive: the
+	// waypoint reached at legTo and the energy the whole leg costs. A
+	// death leg instead ends at legTo after legDist metres.
+	legWP     Waypoint
+	legEnergy float64
+
+	// Event handlers bound once in New: scheduling a method value
+	// directly would allocate a closure per leg.
+	advanceFn, arriveFn, dieFn sim.Handler
 
 	distance  float64
 	visits    int
@@ -113,13 +128,15 @@ func New(eng *sim.Engine, cfg Config) *Mule {
 	if cfg.Router == nil {
 		panic("mule: nil router")
 	}
-	return &Mule{cfg: cfg, eng: eng, pos: cfg.Start}
+	m := &Mule{cfg: cfg, eng: eng, pos: cfg.Start}
+	m.advanceFn, m.arriveFn, m.dieFn = m.advance, m.arrive, m.die
+	return m
 }
 
 // Launch schedules the mule's first movement at the current simulation
 // time.
 func (m *Mule) Launch() {
-	m.pending = m.eng.After(0, m.advance)
+	m.pending = m.eng.After(0, m.advanceFn)
 }
 
 // ID returns the mule's identifier.
@@ -178,22 +195,28 @@ func (m *Mule) advance() {
 			deathPos = m.pos.Lerp(wp.Pos, affordable/dist)
 		}
 		m.startLeg(deathPos, affordable)
-		m.pending = m.eng.After(affordable/m.cfg.Speed, func() {
-			m.inFlight = false
-			m.energyUse += b.Level()
-			b.Drain(b.Level() + 1) // force dead
-			m.distance += affordable
-			m.pos = deathPos
-			m.dead = true
-			if m.cfg.OnDeath != nil {
-				m.cfg.OnDeath(m.cfg.ID, m.eng.Now(), m.pos)
-			}
-		})
+		m.pending = m.eng.After(affordable/m.cfg.Speed, m.dieFn)
 		return
 	}
 
 	m.startLeg(wp.Pos, dist)
-	m.pending = m.eng.After(dist/m.cfg.Speed, func() { m.arrive(wp, dist, moveEnergy) })
+	m.legWP, m.legEnergy = wp, moveEnergy
+	m.pending = m.eng.After(dist/m.cfg.Speed, m.arriveFn)
+}
+
+// die ends a leg the battery could not finish: the mule stops at the
+// leg's end point (legTo, legDist metres out) with an empty battery.
+func (m *Mule) die() {
+	b := m.cfg.Battery
+	m.inFlight = false
+	m.energyUse += b.Level()
+	b.Drain(b.Level() + 1) // force dead
+	m.distance += m.legDist
+	m.pos = m.legTo
+	m.dead = true
+	if m.cfg.OnDeath != nil {
+		m.cfg.OnDeath(m.cfg.ID, m.eng.Now(), m.pos)
+	}
 }
 
 // startLeg records the in-flight segment so Kill/Reroute/PosNow can
@@ -280,15 +303,17 @@ func (m *Mule) Reroute(r Router) {
 	m.pending.Cancel()
 	m.settleLeg()
 	m.parked = false
-	m.pending = m.eng.After(0, m.advance)
+	m.pending = m.eng.After(0, m.advanceFn)
 }
 
-// arrive finalizes a leg: position/energy bookkeeping, recharge,
-// collection dwell, then the next leg.
-func (m *Mule) arrive(wp Waypoint, dist, moveEnergy float64) {
+// arrive finalizes the pending leg (legWP, legDist, legEnergy):
+// position/energy bookkeeping, recharge, collection dwell, then the
+// next leg.
+func (m *Mule) arrive() {
 	if m.dead {
 		return
 	}
+	wp, dist, moveEnergy := m.legWP, m.legDist, m.legEnergy
 	m.inFlight = false
 	m.pos = wp.Pos
 	m.distance += dist
@@ -308,7 +333,7 @@ func (m *Mule) arrive(wp Waypoint, dist, moveEnergy float64) {
 	}
 
 	if wp.TargetID == NoTarget {
-		m.pending = m.eng.After(m.holdDelay(wp, 0), m.advance)
+		m.pending = m.eng.After(m.holdDelay(wp, 0), m.advanceFn)
 		return
 	}
 
@@ -331,7 +356,7 @@ func (m *Mule) arrive(wp Waypoint, dist, moveEnergy float64) {
 		b.Drain(visitEnergy)
 	}
 	m.energyUse += visitEnergy
-	m.pending = m.eng.After(m.holdDelay(wp, m.cfg.Energy.Dwell), m.advance)
+	m.pending = m.eng.After(m.holdDelay(wp, m.cfg.Energy.Dwell), m.advanceFn)
 }
 
 // holdDelay returns the time to stay at the waypoint: at least the

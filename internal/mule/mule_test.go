@@ -481,3 +481,61 @@ func TestRerouteMidLegContinuesFromInterpolatedPos(t *testing.T) {
 		t.Fatal("mule not parked after the rerouted finite route")
 	}
 }
+
+// holdRouter loops its waypoints and gives every target stop a
+// NotBefore hold that outlasts the dwell, so the mule exercises the
+// hold path on every lap, not only on the first.
+type holdRouter struct {
+	eng  *sim.Engine
+	wps  []Waypoint
+	hold float64
+	i    int
+}
+
+func (r *holdRouter) Next(*Mule) (Waypoint, bool) {
+	wp := r.wps[r.i%len(r.wps)]
+	r.i++
+	if wp.TargetID != NoTarget {
+		wp.NotBefore = r.eng.Now() + r.hold
+	}
+	return wp, true
+}
+
+// TestSteadyStateStepAllocatesNothing pins the closure-free legs: once
+// warm, a looping mule with a battery, recharge stops, NotBefore holds
+// and an OnVisit hook schedules every leg, dwell and hold without
+// allocating.
+func TestSteadyStateStepAllocatesNothing(t *testing.T) {
+	eng := sim.New()
+	visits := 0
+	m := New(eng, Config{
+		Start:   geom.Pt(0, 0),
+		Speed:   2,
+		Energy:  energy.Model{MoveCost: 1, CollectCost: 1, Dwell: 3, Capacity: 1000},
+		Battery: energy.NewBattery(1000),
+		Router: &holdRouter{eng: eng, hold: 80, wps: []Waypoint{
+			{Pos: geom.Pt(100, 0), TargetID: 1},
+			{Pos: geom.Pt(100, 100), TargetID: 2},
+			{Pos: geom.Pt(0, 100), TargetID: NoTarget, Recharge: true},
+			{Pos: geom.Pt(0, 0), TargetID: 0},
+		}},
+		OnVisit: func(int, int, float64) { visits++ },
+	})
+	m.Launch()
+	eng.Run(256) // warm the engine's pool and heap
+	// AllocsPerRun truncates to whole allocations per run, and a leg
+	// spans several events, so each run steps through whole laps: one
+	// allocation per leg or dwell then shows as ≥ 10 per run.
+	const steps = 64
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < steps; i++ {
+			eng.Step()
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocs per %d mule events, want 0", allocs, steps)
+	}
+	if m.Dead() || m.Recharges() == 0 || visits == 0 {
+		t.Fatalf("dead=%v recharges=%d visits=%d: the route did not loop as intended",
+			m.Dead(), m.Recharges(), visits)
+	}
+}

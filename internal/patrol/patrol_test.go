@@ -598,3 +598,21 @@ func TestPartitionedAdapter(t *testing.T) {
 		t.Fatal("CHB has no partitioned variant but was accepted")
 	}
 }
+
+// TestRunAllocationsIndependentOfHorizon pins allocation-free
+// simulation: doubling the horizon doubles the legs, dwells and visits
+// of a B-TCTP run, but not its allocation count, which comes from
+// planning and set-up alone.
+func TestRunAllocationsIndependentOfHorizon(t *testing.T) {
+	s := scenario(5, 20, 4)
+	allocs := func(horizon float64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(s, Planned(&core.BTCTP{}), Options{Horizon: horizon}, xrand.New(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(50_000), allocs(100_000); short != long {
+		t.Fatalf("patrol.Run allocates %v times at horizon 50 000 and %v at 100 000, want equal", short, long)
+	}
+}

@@ -12,13 +12,16 @@
 // Event records are pooled: a fired or canceled event returns to a
 // free list and its next Schedule reuses it, so the steady-state
 // schedule→fire cycle of a patrolling simulation allocates nothing
-// (see BenchmarkEngine). Cancellation is lazy — a canceled event stays
-// in the heap until popped — but when canceled entries outnumber live
-// ones the heap is compacted in place.
+// (see BenchmarkEngine). The queue is a typed binary min-heap on
+// (time, seq) with hand-written sift-up/sift-down, so an event costs
+// no interface calls. seq is unique, so (time, seq) is a total order
+// and any correct heap fires events in the same sequence.
+// Cancellation is lazy — a canceled event stays in the heap until
+// popped — but when canceled entries outnumber live ones the heap is
+// compacted in place.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -37,24 +40,77 @@ type event struct {
 	gen uint64
 }
 
+// before reports whether a fires before b: earlier time first, ties
+// in scheduling (seq) order.
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events ordered by before.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
+// push adds ev and restores the heap order.
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event. The heap must be
+// non-empty.
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	n := len(old) - 1
+	ev := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
 	return ev
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	ev := h[i]
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(ev) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = ev
 }
 
 // compactMinHeap is the heap size below which lazy-deleted entries are
@@ -143,7 +199,7 @@ func (e *Engine) maybeCompact() {
 			e.events[i] = nil
 		}
 		e.events = kept
-		heap.Init(&e.events)
+		e.events.init()
 	}
 }
 
@@ -156,7 +212,7 @@ func (e *Engine) Schedule(at float64, fn Handler) Cancel {
 	ev := e.alloc()
 	ev.time, ev.seq, ev.fn, ev.canceled = at, e.seq, fn, false
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	e.pending++
 	return Cancel{e: e, ev: ev, gen: ev.gen}
 }
@@ -173,7 +229,7 @@ func (e *Engine) After(d float64, fn Handler) Cancel {
 // time. It returns false when no events remain.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		if ev.canceled {
 			e.recycle(ev)
 			continue
@@ -227,7 +283,7 @@ func (e *Engine) peek() *event {
 		if !ev.canceled {
 			return ev
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		e.recycle(ev)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -376,5 +377,112 @@ func BenchmarkEngineCancel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// TestHeapMatchesSortedReference drives random interleavings of
+// Schedule, After, Cancel (live and stale handles) and Step, with
+// handlers that schedule further events, against a reference that
+// fires the earliest live event by sort.Slice on (time, seq). Bursts
+// of cancellations push the heap past compactMinHeap with most entries
+// canceled, so compaction runs mid-sequence.
+func TestHeapMatchesSortedReference(t *testing.T) {
+	type ref struct {
+		time float64
+		seq  uint64
+		id   int
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		e := New()
+		var live []ref // the reference queue
+		var handles []Cancel
+		var handleIDs []int
+		var fired []int
+		var seq uint64
+		compactions := 0
+
+		var schedule func(at float64)
+		schedule = func(at float64) {
+			id := len(handles)
+			spawn := rnd.Intn(4) == 0
+			var c Cancel
+			fn := func() {
+				fired = append(fired, id)
+				if spawn {
+					schedule(e.Now() + float64(rnd.Intn(5)))
+				}
+			}
+			if rnd.Intn(2) == 0 {
+				c = e.Schedule(at, fn)
+			} else {
+				c = e.After(at-e.Now(), fn)
+			}
+			live = append(live, ref{time: at, seq: seq, id: id})
+			seq++
+			handles = append(handles, c)
+			handleIDs = append(handleIDs, id)
+		}
+		cancel := func(h int) {
+			before := len(e.events)
+			handles[h].Cancel()
+			if len(e.events) < before {
+				compactions++
+			}
+			for i, r := range live {
+				if r.id == handleIDs[h] {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+		}
+		step := func() {
+			sort.Slice(live, func(a, b int) bool {
+				if live[a].time != live[b].time {
+					return live[a].time < live[b].time
+				}
+				return live[a].seq < live[b].seq
+			})
+			want := -1
+			if len(live) > 0 {
+				want = live[0].id
+				live = live[1:]
+			}
+			n := len(fired)
+			ok := e.Step()
+			if ok != (want >= 0) || ok && fired[n] != want {
+				t.Fatalf("seed %d: Step fired %v (ok=%v), reference fires %d", seed, fired[n:], ok, want)
+			}
+		}
+
+		for round := 0; round < 30; round++ {
+			burst := 1 + rnd.Intn(150)
+			for i := 0; i < burst; i++ {
+				// Few distinct times, so (time, seq) ties are common.
+				schedule(e.Now() + float64(rnd.Intn(12)) + 0.5*float64(rnd.Intn(2)))
+			}
+			for i := rnd.Intn(2 * burst); i > 0; i-- {
+				if rnd.Intn(4) == 0 {
+					cancel(rnd.Intn(len(handles))) // live, fired or already canceled
+				} else {
+					cancel(len(handles) - 1 - rnd.Intn(burst)) // mostly this burst's
+				}
+			}
+			for i := rnd.Intn(burst); i > 0; i-- {
+				step()
+			}
+			if e.Pending() != len(live) {
+				t.Fatalf("seed %d: Pending = %d, reference holds %d", seed, e.Pending(), len(live))
+			}
+		}
+		for len(live) > 0 {
+			step()
+		}
+		if e.Step() {
+			t.Fatalf("seed %d: engine fired an event the reference does not hold", seed)
+		}
+		if compactions == 0 {
+			t.Fatalf("seed %d: no compaction ran; the test no longer covers it", seed)
+		}
 	}
 }
